@@ -9,16 +9,21 @@
 //! `tiga-strategy v1` text format, and the minimized/compiled controller
 //! summary (`minimized_rules`/`controller_states`).  A request with
 //! `"controller":true` additionally receives the compiled controller itself
-//! in the `tiga-controller v1` text format; the controller is compiled once
-//! when the game is first solved and stored in the cache entry, so the flag
-//! never changes what is cached, only what is serialized into the response.
+//! in the `tiga-controller v1` text format.
 //!
 //! Underneath sits a content-hash [`SolveCache`] keyed on the canonical
 //! serialized system (`print_system` output, including the `control:` line)
-//! plus the semantics-relevant options: repeated or duplicate submissions
-//! are answered from the cache with `"cache":"hit"` and a payload that is
-//! byte-identical to the original solve's.  A `batch` request fans a list
-//! of models through the work queue (`tiga_parallel::run_keyed`): distinct
+//! plus the semantics-relevant options.  When a game is solved, its payload
+//! is rendered once — the JSON object up to and including the escaped
+//! strategy, and separately the escaped controller field — and only those
+//! bytes are stored; the strategy and controller structures are dropped.
+//! Every ok response, miss or hit, is the volatile envelope followed by a
+//! copy of the stored payload (plus the controller field when asked for),
+//! so a repeated or duplicate submission is answered with `"cache":"hit"`
+//! and a payload byte-identical to the original solve's by construction,
+//! and the `controller` flag never changes what is cached, only which
+//! stored bytes the response copies.  A `batch` request fans a list
+//! of models through the work queue (`tiga_parallel::run_indexed`): distinct
 //! games are solved concurrently, duplicates are deduplicated before any
 //! solving happens, and the responses are merged in submission order — the
 //! whole output stream is bit-identical for any `--jobs`, the same
@@ -30,9 +35,10 @@
 //! errors, the byte offset) and the session continues.
 
 use crate::{parse_num, reject_leftovers, take_value, wants_help, EXIT_FAILURE, EXIT_USAGE};
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, Write};
 use std::time::Instant;
-use tiga_solver::{solve, CacheEntry, SolveCache, SolveEngine, SolveOptions};
+use tiga_solver::{solve, CacheEntry, CompiledController, SolveCache, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
 const USAGE: &str = "\
@@ -107,174 +113,154 @@ pub fn serve_session<R: BufRead, W: Write>(
         if line.trim().is_empty() {
             continue;
         }
-        for response in handle_line(&line, line_no, args, &mut cache) {
-            writeln!(output, "{response}")?;
-        }
+        handle_line(&line, line_no, args, &mut cache, output)?;
         output.flush()?;
     }
     Ok(())
 }
 
-/// Handles one request line, returning the response lines it produces (one
+/// Handles one request line, writing the response lines it produces (one
 /// for solve requests, one per item plus a summary for batches).
-fn handle_line(
+fn handle_line<W: Write>(
     line: &str,
     line_no: usize,
     args: &ServeArgs,
     cache: &mut SolveCache,
-) -> Vec<String> {
+    out: &mut W,
+) -> std::io::Result<()> {
     let started = Instant::now();
     let json = match parse_json(line) {
         Ok(json) => json,
         Err(err) => {
-            return vec![format!(
+            return writeln!(
+                out,
                 "{{\"id\":{line_no},\"status\":\"error\",\"line\":{line_no},\
                  \"byte\":{},\"error\":\"{}\"}}",
                 err.at,
                 crate::solve::json_escape(&format!("bad request JSON: {}", err.message)),
-            )]
+            )
         }
     };
     match Request::from_json(&json, line_no, args.jobs) {
-        Err(message) => vec![error_response(
-            &format!("{line_no}"),
-            "request",
-            line_no,
-            &message,
-        )],
+        Err(message) => write_error(out, &format!("{line_no}"), "request", line_no, &message),
         Ok(request) => match request.kind {
-            RequestKind::Solve => vec![handle_solve(&request, line_no, cache, started)],
-            RequestKind::Batch => handle_batch(&request, line_no, args, cache, started),
+            RequestKind::Solve => handle_solve(&request, line_no, cache, started, out),
+            RequestKind::Batch => handle_batch(&request, line_no, args, cache, started, out),
         },
     }
 }
 
-fn handle_solve(
+fn handle_solve<W: Write>(
     request: &Request,
     line_no: usize,
     cache: &mut SolveCache,
     started: Instant,
-) -> String {
+    out: &mut W,
+) -> std::io::Result<()> {
     let source = &request.sources[0];
+    let reply = Reply {
+        id: &request.id,
+        kind: "solve",
+        index: None,
+        controller: request.controller,
+        started,
+    };
     let prepared = match prepare(source, request, line_no, 0) {
         Ok(prepared) => prepared,
-        Err(message) => return error_response(&request.id, "solve", line_no, &message),
+        Err(message) => return write_error(out, &request.id, "solve", line_no, &message),
     };
-    let (entry, cached) = match cache.lookup(&prepared.key) {
-        Some(entry) => (entry, true),
-        None => match solve_prepared(&prepared) {
-            Ok(entry) => {
-                cache.store(prepared.key.clone(), entry.clone());
-                (entry, false)
-            }
-            Err(message) => return error_response(&request.id, "solve", line_no, &message),
-        },
-    };
-    ok_response(
-        &request.id,
-        "solve",
-        None,
-        cached,
-        request.controller,
-        &prepared,
-        &entry,
-        cache,
-        started,
-    )
+    if let Some(entry) = cache.lookup(&prepared.key) {
+        return reply.write_ok(out, true, &prepared.key, entry, cache);
+    }
+    match solve_prepared(&prepared) {
+        Ok(entry) => reply.store_and_write(out, &prepared.key, entry, cache),
+        Err(message) => write_error(out, &request.id, "solve", line_no, &message),
+    }
 }
 
-fn handle_batch(
+fn handle_batch<W: Write>(
     request: &Request,
     line_no: usize,
     args: &ServeArgs,
     cache: &mut SolveCache,
     started: Instant,
-) -> Vec<String> {
+    out: &mut W,
+) -> std::io::Result<()> {
     let prepared: Vec<Result<Prepared, String>> = request
         .sources
         .iter()
         .enumerate()
         .map(|(i, source)| prepare(source, request, line_no, i))
         .collect();
-    // Plan the shard: every item whose key is not already cached goes to the
-    // work queue; `run_keyed` deduplicates within the batch so each distinct
-    // game is solved once, concurrently, while the merge below stays in
-    // submission order — deterministic output for any `--jobs`.
+    // Plan the shard: the first item of every key that is not already cached
+    // goes to the work queue, so each distinct game is solved once,
+    // concurrently, while the merge below stays in submission order —
+    // deterministic output for any `--jobs`.
     let mut planned_to_run = vec![false; prepared.len()];
-    let mut work: Vec<(String, usize)> = Vec::new();
+    let mut planned_keys = HashSet::new();
+    let mut work = Vec::new();
     for (i, item) in prepared.iter().enumerate() {
         if let Ok(p) = item {
-            if !cache.contains(&p.key) {
+            if !cache.contains(&p.key) && planned_keys.insert(p.key.as_str()) {
                 planned_to_run[i] = true;
-                work.push((p.key.clone(), i));
+                work.push(i);
             }
         }
     }
-    let results = tiga_parallel::run_keyed(work, args.jobs, |_key, first_index| {
-        match &prepared[first_index] {
-            Ok(p) => solve_prepared(p),
-            Err(_) => unreachable!("only Ok items are planned into the work queue"),
-        }
+    let results = tiga_parallel::run_indexed(work, args.jobs, |_, i| match &prepared[i] {
+        Ok(p) => solve_prepared(p),
+        Err(_) => unreachable!("only Ok items are planned into the work queue"),
     });
 
-    let mut responses = Vec::with_capacity(prepared.len() + 1);
     let mut errors = 0usize;
     let mut next_result = results.into_iter();
+    // Keys whose solve failed: their later duplicates get the same error.
+    let mut failed: HashMap<&str, String> = HashMap::new();
     for (i, item) in prepared.iter().enumerate() {
         let kind = "batch-item";
+        let reply = Reply {
+            id: &request.id,
+            kind,
+            index: Some(i),
+            controller: request.controller,
+            started,
+        };
         match item {
             Err(message) => {
                 errors += 1;
-                responses.push(item_error_response(&request.id, kind, i, message));
+                write_item_error(out, &request.id, kind, i, message)?;
             }
             Ok(p) => {
-                let computed = if planned_to_run[i] {
-                    Some(next_result.next().expect("one result per planned item").0)
-                } else {
-                    None
-                };
                 // The counted lookup happens here, in submission order: the
                 // first occurrence of a key is the miss, every later
-                // duplicate — whether solved speculatively by the queue or
+                // duplicate — whether solved by the queue in this batch or
                 // cached in an earlier request — is a hit.
-                match cache.lookup(&p.key) {
-                    Some(entry) => responses.push(ok_response(
-                        &request.id,
-                        kind,
-                        Some(i),
-                        true,
-                        request.controller,
-                        p,
-                        &entry,
-                        cache,
-                        started,
-                    )),
-                    None => match computed.expect("uncached items were planned into the queue") {
-                        Ok(entry) => {
-                            cache.store(p.key.clone(), entry.clone());
-                            responses.push(ok_response(
-                                &request.id,
-                                kind,
-                                Some(i),
-                                false,
-                                request.controller,
-                                p,
-                                &entry,
-                                cache,
-                                started,
-                            ));
-                        }
-                        Err(message) => {
-                            errors += 1;
-                            responses.push(item_error_response(&request.id, kind, i, &message));
-                        }
-                    },
+                if let Some(entry) = cache.lookup(&p.key) {
+                    reply.write_ok(out, true, &p.key, entry, cache)?;
+                    continue;
+                }
+                let solved = if planned_to_run[i] {
+                    next_result.next().expect("one result per planned item")
+                } else {
+                    Err(failed
+                        .get(p.key.as_str())
+                        .expect("an unplanned, uncached key follows its failed first solve")
+                        .clone())
+                };
+                match solved {
+                    Ok(entry) => reply.store_and_write(out, &p.key, entry, cache)?,
+                    Err(message) => {
+                        errors += 1;
+                        write_item_error(out, &request.id, kind, i, &message)?;
+                        failed.insert(&p.key, message);
+                    }
                 }
             }
         }
     }
     let stats = cache.stats();
-    responses.push(format!(
+    writeln!(
+        out,
         "{{\"id\":{},\"kind\":\"batch\",\"status\":\"{}\",\"items\":{},\"errors\":{},\
          \"cache_hits\":{},\"cache_misses\":{},\"cache_entries\":{},\"elapsed_us\":{}}}",
         request.id,
@@ -285,8 +271,7 @@ fn handle_batch(
         stats.misses,
         cache.len(),
         started.elapsed().as_micros(),
-    ));
-    responses
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -508,20 +493,48 @@ fn prepare(
     })
 }
 
+/// Solves a game and renders its cache entry, once: the payload object up
+/// to and including its escaped strategy (left open, so that a response can
+/// append the controller field before closing it), and the escaped
+/// controller field.  Minimize + compile happen here too, so every later hit
+/// answers `minimized_rules`/`controller_states` and a `"controller":true`
+/// download by copying bytes.  To keep the peak low, each structure is
+/// dropped as soon as its text is rendered.
 fn solve_prepared(prepared: &Prepared) -> Result<CacheEntry, String> {
-    let solution = solve(&prepared.system, &prepared.purpose, &prepared.options)
+    use crate::solve::{json_escape, push_json_escaped};
+    let mut solution = solve(&prepared.system, &prepared.purpose, &prepared.options)
         .map_err(|e| format!("solver failed: {e}"))?;
-    // Minimize + compile at store time: every later hit answers the
-    // controller fields (and a `"controller":true` download) for free.
-    let controller = solution
-        .strategy
-        .as_ref()
-        .map(tiga_solver::CompiledController::compile);
+    let name = &prepared.model_name;
+    let winning = solution.winning_from_initial;
+    let strategy = solution.strategy.take();
+    let controller = strategy.as_ref().map(CompiledController::compile);
+    let mut payload = format!(
+        "{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
+         {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\
+         \"strategy\":\"",
+        model = json_escape(name),
+        engine = prepared.options.engine.name(),
+        verdict = if winning { "winning" } else { "losing" },
+        stats_fields = crate::solve::stats_json_fields(solution.stats()),
+        strategy_rules = strategy
+            .as_ref()
+            .map_or("null".to_string(), |s| s.rule_count().to_string()),
+        controller_fields = crate::solve::controller_json_fields(controller.as_ref()),
+    );
+    drop(solution);
+    let strategy_text = tiga_solver::print_strategy(name, winning, strategy.as_ref());
+    drop(strategy);
+    push_json_escaped(&mut payload, &strategy_text);
+    payload.push('"');
+    drop(strategy_text);
+    let controller_text = tiga_solver::print_controller(name, winning, controller.as_ref());
+    drop(controller);
+    let mut controller_field = String::from(",\"controller\":\"");
+    push_json_escaped(&mut controller_field, &controller_text);
+    controller_field.push('"');
     Ok(CacheEntry {
-        winning: solution.winning_from_initial,
-        stats: solution.stats().clone(),
-        strategy: solution.strategy,
-        controller,
+        payload: payload.into_boxed_str(),
+        controller: controller_field.into_boxed_str(),
     })
 }
 
@@ -529,75 +542,93 @@ fn solve_prepared(prepared: &Prepared) -> Result<CacheEntry, String> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Renders an ok response: a volatile envelope (cache status, counters,
-/// timing) followed by the stable `payload` object.  The payload is built
-/// purely from the cache entry, so a hit is byte-identical to its miss.
-#[allow(clippy::too_many_arguments)]
-fn ok_response(
-    id: &str,
-    kind: &str,
+/// The parts of an ok response that come from the request, not the entry.
+struct Reply<'a> {
+    id: &'a str,
+    kind: &'a str,
     index: Option<usize>,
-    cached: bool,
-    include_controller: bool,
-    prepared: &Prepared,
-    entry: &CacheEntry,
-    cache: &SolveCache,
+    /// Append the entry's controller field to the payload.
+    controller: bool,
     started: Instant,
-) -> String {
-    let stats = cache.stats();
-    let index_field = index.map_or(String::new(), |i| format!("\"index\":{i},"));
-    let strategy_text =
-        tiga_solver::print_strategy(&prepared.model_name, entry.winning, entry.strategy.as_ref());
-    let strategy_rules = entry
-        .strategy
-        .as_ref()
-        .map_or("null".to_string(), |s| s.rule_count().to_string());
-    // The serialized controller is included only on request: it is built
-    // from the cached entry, so the payload stays a pure function of
-    // (entry, request flag) — hits remain byte-identical to their miss.
-    let controller_field = if include_controller {
-        let text = tiga_solver::print_controller(
-            &prepared.model_name,
-            entry.winning,
-            entry.controller.as_ref(),
-        );
-        format!(",\"controller\":\"{}\"", crate::solve::json_escape(&text))
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"id\":{id},\"kind\":\"{kind}\",{index_field}\"status\":\"ok\",\
-         \"cache\":\"{cache_status}\",\"key\":\"{key}\",\
-         \"cache_hits\":{hits},\"cache_misses\":{misses},\"cache_entries\":{entries},\
-         \"elapsed_us\":{elapsed},\
-         \"payload\":{{\"model\":\"{model}\",\"engine\":\"{engine}\",\"verdict\":\"{verdict}\",\
-         {stats_fields},\"strategy_rules\":{strategy_rules},{controller_fields},\
-         \"strategy\":\"{strategy}\"{controller_field}}}}}",
-        cache_status = if cached { "hit" } else { "miss" },
-        key = SolveCache::fingerprint(&prepared.key),
-        hits = stats.hits,
-        misses = stats.misses,
-        entries = cache.len(),
-        elapsed = started.elapsed().as_micros(),
-        model = crate::solve::json_escape(&prepared.model_name),
-        engine = prepared.options.engine.name(),
-        verdict = if entry.winning { "winning" } else { "losing" },
-        stats_fields = crate::solve::stats_json_fields(&entry.stats),
-        controller_fields = crate::solve::controller_json_fields(entry.controller.as_ref()),
-        strategy = crate::solve::json_escape(&strategy_text),
-    )
 }
 
-fn error_response(id: &str, kind: &str, line_no: usize, message: &str) -> String {
-    format!(
+impl Reply<'_> {
+    /// Stores a freshly solved entry and answers the miss from the stored
+    /// bytes, exactly as every later hit on the key is answered.
+    fn store_and_write<W: Write>(
+        &self,
+        out: &mut W,
+        key: &str,
+        entry: CacheEntry,
+        cache: &mut SolveCache,
+    ) -> std::io::Result<()> {
+        cache.store(key.to_string(), entry);
+        let entry = cache.get(key).expect("stored just now");
+        self.write_ok(out, false, key, entry, cache)
+    }
+
+    /// Writes an ok response: the volatile envelope (cache status, counters,
+    /// timing), then the entry's stored payload, its controller field when
+    /// the request asked for it, and the closing braces.
+    fn write_ok<W: Write>(
+        &self,
+        out: &mut W,
+        hit: bool,
+        key: &str,
+        entry: &CacheEntry,
+        cache: &SolveCache,
+    ) -> std::io::Result<()> {
+        let stats = cache.stats();
+        let index_field = self
+            .index
+            .map_or(String::new(), |i| format!("\"index\":{i},"));
+        write!(
+            out,
+            "{{\"id\":{id},\"kind\":\"{kind}\",{index_field}\"status\":\"ok\",\
+             \"cache\":\"{cache_status}\",\"key\":\"{key}\",\
+             \"cache_hits\":{hits},\"cache_misses\":{misses},\"cache_entries\":{entries},\
+             \"elapsed_us\":{elapsed},\"payload\":",
+            id = self.id,
+            kind = self.kind,
+            cache_status = if hit { "hit" } else { "miss" },
+            key = SolveCache::fingerprint(key),
+            hits = stats.hits,
+            misses = stats.misses,
+            entries = cache.len(),
+            elapsed = self.started.elapsed().as_micros(),
+        )?;
+        out.write_all(entry.payload.as_bytes())?;
+        if self.controller {
+            out.write_all(entry.controller.as_bytes())?;
+        }
+        out.write_all(b"}}\n")
+    }
+}
+
+fn write_error<W: Write>(
+    out: &mut W,
+    id: &str,
+    kind: &str,
+    line_no: usize,
+    message: &str,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{{\"id\":{id},\"kind\":\"{kind}\",\"status\":\"error\",\"line\":{line_no},\
          \"error\":\"{}\"}}",
         crate::solve::json_escape(message)
     )
 }
 
-fn item_error_response(id: &str, kind: &str, index: usize, message: &str) -> String {
-    format!(
+fn write_item_error<W: Write>(
+    out: &mut W,
+    id: &str,
+    kind: &str,
+    index: usize,
+    message: &str,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{{\"id\":{id},\"kind\":\"{kind}\",\"index\":{index},\"status\":\"error\",\
          \"error\":\"{}\"}}",
         crate::solve::json_escape(message)
@@ -653,10 +684,16 @@ struct JsonError {
     message: String,
 }
 
+/// How deeply arrays and objects may nest in one request.  The protocol
+/// itself needs two levels; the limit keeps a line of nested brackets from
+/// overflowing the reader's stack.
+const MAX_JSON_DEPTH: usize = 64;
+
 fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut parser = JsonParser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -670,6 +707,8 @@ fn parse_json(text: &str) -> Result<Json, JsonError> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -710,8 +749,8 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -720,6 +759,23 @@ impl JsonParser<'_> {
             Some(_) => Err(self.error("expected a JSON value")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.error(&format!(
+                "arrays and objects nest deeper than {MAX_JSON_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -825,16 +881,24 @@ impl JsonParser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (the input is a &str, so bytes
-                    // form valid sequences).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("bad UTF-8 in string"))?
-                        .chars()
-                        .next()
-                        .expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one go.  Those bytes are all ASCII, so on valid
+                    // input the run ends on a scalar boundary; a truncated or
+                    // malformed sequence is an error at its first byte.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .map_or(self.bytes.len(), |len| self.pos + len);
+                    match std::str::from_utf8(&self.bytes[self.pos..run]) {
+                        Ok(text) => {
+                            out.push_str(text);
+                            self.pos = run;
+                        }
+                        Err(err) => {
+                            self.pos += err.valid_up_to();
+                            return Err(self.error("bad UTF-8 in string"));
+                        }
+                    }
                 }
             }
         }
@@ -951,6 +1015,70 @@ mod tests {
         for cut in 0..good.len() {
             let _ = parse_json(&good[..cut]);
         }
+    }
+
+    /// Parses `bytes` as one JSON string, straight through the reader (so
+    /// that invalid UTF-8, which no `&str` line can hold, is reachable).
+    fn read_string(bytes: &[u8]) -> Result<String, JsonError> {
+        let mut parser = JsonParser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
+        parser.string()
+    }
+
+    #[test]
+    fn json_strings_carry_multibyte_scalars_anywhere() {
+        for scalar in ["é", "😀", "\u{2028}"] {
+            // Mid-string, next to an escape, and at the end of a string.
+            let text = format!("a{scalar}b\n{scalar}");
+            let line = format!("{{\"s\":\"a{scalar}b\\n{scalar}\"}}");
+            let Json::Obj(fields) = parse_json(&line).unwrap() else {
+                panic!("not an object")
+            };
+            assert_eq!(fields[0].1.as_str(), Some(text.as_str()), "{line}");
+            let line = format!("\"{scalar}{scalar}\"");
+            assert_eq!(parse_json(&line).unwrap(), Json::Str(scalar.repeat(2)));
+            assert_eq!(read_string(line.as_bytes()).unwrap(), scalar.repeat(2));
+            // At the end of input: a string cut right after the scalar is
+            // unterminated, reported at the end.
+            let cut = format!("\"x{scalar}");
+            let err = read_string(cut.as_bytes()).unwrap_err();
+            assert_eq!(
+                (err.at, err.message.as_str()),
+                (cut.len(), "unterminated string")
+            );
+        }
+    }
+
+    #[test]
+    fn json_strings_reject_truncated_utf8_without_panicking() {
+        let snowman = "☃".as_bytes();
+        for cut in 1..snowman.len() {
+            let mut bytes = b"\"ok".to_vec();
+            bytes.extend_from_slice(&snowman[..cut]);
+            // The sequence is cut by the end of input, and by a quote.
+            let err = read_string(&bytes).unwrap_err();
+            assert_eq!((err.at, err.message.as_str()), (3, "bad UTF-8 in string"));
+            bytes.push(b'"');
+            let err = read_string(&bytes).unwrap_err();
+            assert_eq!((err.at, err.message.as_str()), (3, "bad UTF-8 in string"));
+        }
+        // A stray continuation byte.
+        assert!(read_string(b"\"\x80\"").is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_bounded_with_a_byte_offset() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&deep(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&deep(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH);
+        let line = format!("{{\"a\":{}", "[{\"b\":".repeat(300_000));
+        let err = parse_json(&line).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{}", err.message);
+        assert!(err.at < 4 * MAX_JSON_DEPTH, "{}", err.at);
     }
 
     #[test]

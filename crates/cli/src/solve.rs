@@ -365,15 +365,40 @@ pub(crate) fn stats_json_fields(stats: &tiga_solver::SolverStats) -> String {
     )
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// `text` as the body of a JSON string (see [`push_json_escaped`]).
+pub(crate) fn json_escape(text: &str) -> String {
+    let mut out = String::new();
+    push_json_escaped(&mut out, text);
+    out
+}
+
+/// Appends `text` to `out` as the body of a JSON string, in one pass: `"`
+/// and `\` get a backslash, every control character below U+0020 becomes
+/// `\u00XX` (lower-case hex, so a newline is `\u000a`), and everything
+/// else, non-ASCII included, is copied through.  The bytes between two
+/// escapes are copied with one `push_str`.
+pub(crate) fn push_json_escaped(out: &mut String, text: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(text.len());
+    let mut copied = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `at` is a char boundary.
+        out.push_str(&text[copied..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+        copied = at + 1;
+    }
+    out.push_str(&text[copied..]);
 }
 
 /// Entry point used by [`crate::run`].
@@ -604,5 +629,54 @@ mod tests {
         assert!(parse_args(&strings(&[])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--wat"])).is_err());
         assert!(parse_args(&strings(&["m.tg", "--expect", "maybe"])).is_err());
+    }
+
+    /// The per-character escaper the one-pass [`json_escape`] replaced,
+    /// kept here as the reference its output must equal byte for byte.
+    fn reference_json_escape(s: &str) -> String {
+        s.chars()
+            .flat_map(|c| match c {
+                '"' => vec!['\\', '"'],
+                '\\' => vec!['\\', '\\'],
+                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
+                c => vec![c],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn json_escape_matches_the_reference_escaper() {
+        let mut samples: Vec<String> = (0u8..=0x7f).map(|b| char::from(b).to_string()).collect();
+        let all_ascii: String = (0u8..=0x7f).map(char::from).collect();
+        samples.push(all_ascii.clone());
+        for special in ["é", "😀", "\u{2028}"] {
+            samples.push(special.to_string());
+            samples.push(format!("a{special}\"b\n{special}"));
+            samples.push(format!("{all_ascii}{special}{all_ascii}"));
+        }
+        samples.push(String::new());
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/strategies");
+        let mut files = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "strategy") {
+                samples.push(std::fs::read_to_string(&path).unwrap());
+                files += 1;
+            }
+        }
+        assert!(files >= 10, "every golden strategy is checked: {files}");
+        for sample in &samples {
+            assert_eq!(
+                json_escape(sample),
+                reference_json_escape(sample),
+                "{sample:?}"
+            );
+        }
+        assert_eq!(json_escape("a\n\"\\\u{1f}"), "a\\u000a\\\"\\\\\\u001f");
+        // Appending keeps what is already there.
+        let mut out = String::from("x");
+        push_json_escaped(&mut out, "\t");
+        assert_eq!(out, "x\\u0009");
     }
 }

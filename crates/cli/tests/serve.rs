@@ -472,3 +472,149 @@ fn blank_lines_are_skipped_and_ids_echo_strings() {
         lines[0]
     );
 }
+
+/// Decodes the JSON string field `name` of a payload: the served text
+/// un-escaped (`\"`, `\\` and `\u00XX` are all the server writes).
+fn string_field(payload: &str, name: &str) -> Option<String> {
+    let marker = format!("\"{name}\":\"");
+    let start = payload.find(&marker)? + marker.len();
+    let mut out = String::new();
+    let mut chars = payload[start..].chars();
+    loop {
+        match chars.next()? {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                'u' => {
+                    let hex: String = chars.by_ref().take(4).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                c => out.push(c),
+            },
+            c => out.push(c),
+        }
+    }
+}
+
+#[test]
+fn served_strategies_and_controllers_are_the_goldens() {
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut objectives: Vec<String> = std::fs::read_dir(tg_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| {
+            std::fs::read_to_string(path)
+                .unwrap()
+                .lines()
+                .any(|line| line.starts_with("control:"))
+        })
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    objectives.sort();
+    assert_eq!(objectives.len(), 10, "{objectives:?}");
+    // Each objective is a miss once per session, so one session misses
+    // without the controller and the other with it; both then hit with
+    // either flag.
+    let sessions = [[false, true, false, true], [true, false, true, false]];
+    let outputs: Vec<Vec<String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .iter()
+            .map(|flags| {
+                let requests: Vec<String> = objectives
+                    .iter()
+                    .flat_map(|name| {
+                        let path = json_string(&tg(&format!("{name}.tg")));
+                        flags
+                            .iter()
+                            .map(move |flag| format!("{{\"path\":{path},\"controller\":{flag}}}"))
+                    })
+                    .collect();
+                scope.spawn(move || session(&requests, 1))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (flags, lines) in sessions.iter().zip(&outputs) {
+        assert_eq!(lines.len(), 4 * objectives.len(), "{lines:?}");
+        for (k, name) in objectives.iter().enumerate() {
+            let strategy =
+                std::fs::read_to_string(examples.join(format!("strategies/{name}.strategy")))
+                    .unwrap();
+            let controller =
+                std::fs::read_to_string(examples.join(format!("controllers/{name}.controller")))
+                    .unwrap();
+            for (i, flag) in flags.iter().enumerate() {
+                let line = &lines[4 * k + i];
+                let expected = if i == 0 { "miss" } else { "hit" };
+                assert!(
+                    line.contains(&format!("\"cache\":\"{expected}\"")),
+                    "{name} #{i}: expected a {expected}"
+                );
+                let served = payload(line);
+                assert!(
+                    string_field(served, "strategy").as_deref() == Some(strategy.as_str()),
+                    "{name} #{i}: served strategy differs from the golden"
+                );
+                if *flag {
+                    assert!(
+                        string_field(served, "controller").as_deref() == Some(controller.as_str()),
+                        "{name} #{i}: served controller differs from the golden"
+                    );
+                } else {
+                    assert!(
+                        string_field(served, "controller").is_none(),
+                        "{name} #{i}: the controller was not asked for"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn deeply_nested_json_is_an_error_and_the_session_survives() {
+    let requests = vec![
+        "[".repeat(300_000),
+        format!(
+            "{{\"id\":2,\"path\":{}}}",
+            json_string(&tg("smart_light.tg"))
+        ),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].starts_with("{\"id\":1,\"status\":\"error\",\"line\":1,\"byte\":"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[0].contains("nest deeper than"), "{}", lines[0]);
+    assert!(lines[1].contains("\"id\":2,"), "{}", lines[1]);
+    assert!(lines[1].contains("\"status\":\"ok\""), "{}", lines[1]);
+}
+
+#[test]
+fn batch_duplicates_of_a_failed_solve_share_its_error() {
+    let light = json_string(&tg("smart_light.tg"));
+    // A two-state budget makes the solve fail; the duplicate is not solved
+    // again but gets the same error, and nothing is cached.
+    let request =
+        format!("{{\"id\":5,\"kind\":\"batch\",\"paths\":[{light},{light}],\"max_states\":2}}");
+    for jobs in [1, 4] {
+        let lines = session(std::slice::from_ref(&request), jobs);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        for (i, line) in lines[..2].iter().enumerate() {
+            assert!(
+                line.starts_with(&format!(
+                    "{{\"id\":5,\"kind\":\"batch-item\",\"index\":{i},\"status\":\"error\","
+                )),
+                "{line}"
+            );
+            assert!(line.contains("limit of 2 discrete states"), "{line}");
+        }
+        assert!(
+            lines[2]
+                .contains("\"errors\":2,\"cache_hits\":0,\"cache_misses\":2,\"cache_entries\":0,"),
+            "{}",
+            lines[2]
+        );
+    }
+}

@@ -16,9 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -87,52 +84,6 @@ where
         .collect()
 }
 
-/// Runs `f` once per *distinct key* — on the first item carrying it — and
-/// returns one `(result, first)` pair per input item, in item order; `first`
-/// marks the item that triggered the computation, duplicates receive a clone.
-///
-/// This is the request-level sharding discipline of `tiga serve` batches: a
-/// campaign that submits the same game many times costs one solve, the
-/// distinct work is spread over `threads` workers through [`run_indexed`],
-/// and the merged output — including which submission counts as the cache
-/// miss — is bit-identical for any thread count.
-///
-/// # Panics
-///
-/// Propagates panics from `f`.
-pub fn run_keyed<K, T, R, F>(items: Vec<(K, T)>, threads: usize, f: F) -> Vec<(R, bool)>
-where
-    K: Eq + Hash + Clone + Send,
-    T: Send,
-    R: Clone + Send,
-    F: Fn(&K, T) -> R + Sync,
-{
-    let mut slot_of_item = Vec::with_capacity(items.len());
-    let mut is_first = Vec::with_capacity(items.len());
-    let mut slot_of_key: HashMap<K, usize> = HashMap::new();
-    let mut firsts: Vec<(K, T)> = Vec::new();
-    for (key, item) in items {
-        match slot_of_key.entry(key.clone()) {
-            Entry::Occupied(slot) => {
-                slot_of_item.push(*slot.get());
-                is_first.push(false);
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(firsts.len());
-                slot_of_item.push(firsts.len());
-                is_first.push(true);
-                firsts.push((key, item));
-            }
-        }
-    }
-    let computed = run_indexed(firsts, threads, |_, (key, item)| f(&key, item));
-    slot_of_item
-        .into_iter()
-        .zip(is_first)
-        .map(|(slot, first)| (computed[slot].clone(), first))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,46 +106,6 @@ mod tests {
         let none: Vec<u8> = Vec::new();
         assert!(run_indexed(none, 4, |_, x| x).is_empty());
         assert_eq!(run_indexed(vec![7], 4, |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn run_keyed_computes_once_per_key_in_item_order() {
-        use std::sync::atomic::AtomicUsize;
-        let items: Vec<(u8, usize)> = vec![(3, 0), (1, 1), (3, 2), (2, 3), (1, 4), (3, 5)];
-        for threads in [1, 2, 8] {
-            let calls = AtomicUsize::new(0);
-            let out = run_keyed(items.clone(), threads, |key, item| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                (u32::from(*key) * 10, item)
-            });
-            assert_eq!(
-                calls.load(Ordering::Relaxed),
-                3,
-                "one call per distinct key"
-            );
-            // Every duplicate sees the result computed for the key's FIRST
-            // item, and only the first occurrence is flagged.
-            assert_eq!(
-                out,
-                vec![
-                    ((30, 0), true),
-                    ((10, 1), true),
-                    ((30, 0), false),
-                    ((20, 3), true),
-                    ((10, 1), false),
-                    ((30, 0), false),
-                ],
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn run_keyed_handles_empty_and_all_unique() {
-        let none: Vec<(u8, u8)> = Vec::new();
-        assert!(run_keyed(none, 4, |_, x| x).is_empty());
-        let out = run_keyed(vec![(1u8, 10u8), (2, 20)], 4, |_, x| x);
-        assert_eq!(out, vec![(10, true), (20, true)]);
     }
 
     #[test]

@@ -9,28 +9,26 @@
 //! excluded: results are bit-identical for any thread count and with the
 //! zone store on or off (pinned by the solver's differential suites), so a
 //! cache hit is exact no matter which execution mode produced the entry.
+//!
+//! An entry holds no solver structures, only the response bytes the server
+//! rendered once when it stored the game: a hit borrows them and copies
+//! them out, so it costs no solving and no re-serialization.
 
-use crate::controller::CompiledController;
-use crate::stats::SolverStats;
-use crate::strategy::Strategy;
 use crate::winning::SolveOptions;
+use std::cell::Cell;
 use std::collections::HashMap;
 
-/// A cached solve result: everything a response needs, nothing volatile.
-/// Wall-clock timing is intentionally absent — it belongs to the solve that
-/// produced the entry, not to the game.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// A cached solve result as the bytes a response carries, rendered once at
+/// store time.  The cache never looks inside: the server decides the
+/// format.  Nothing volatile belongs here — wall-clock timing is part of
+/// the solve that produced the entry, not of the game.
+#[derive(Debug, PartialEq, Eq)]
 pub struct CacheEntry {
-    /// Whether the initial state is winning.
-    pub winning: bool,
-    /// The full 14-field statistics block of the original solve.
-    pub stats: SolverStats,
-    /// The extracted strategy, when one was requested and the game is won.
-    pub strategy: Option<Strategy>,
-    /// The minimized, compiled form of `strategy`.  Compiled once at store
-    /// time so cache hits answer `minimized_rules`/`controller_states` and
-    /// controller downloads without re-running the minimizer.
-    pub controller: Option<CompiledController>,
+    /// The part every response carries (verdict, stats and strategy).
+    pub payload: Box<str>,
+    /// The part appended to `payload` only when the client asks for the
+    /// compiled controller.
+    pub controller: Box<str>,
 }
 
 /// Hit/miss counters, reported in `tiga serve` responses.
@@ -46,7 +44,9 @@ pub struct CacheStats {
 #[derive(Debug, Default)]
 pub struct SolveCache {
     entries: HashMap<String, CacheEntry>,
-    stats: CacheStats,
+    /// Counted through a `Cell`, so that [`SolveCache::lookup`] can hand
+    /// out a borrowed entry while the caller still reads the counters.
+    stats: Cell<CacheStats>,
 }
 
 impl SolveCache {
@@ -96,19 +96,24 @@ impl SolveCache {
         format!("{hash:016x}")
     }
 
-    /// Looks up a key, counting a hit or a miss, and returns a clone of the
-    /// cached entry.
-    pub fn lookup(&mut self, key: &str) -> Option<CacheEntry> {
-        match self.entries.get(key) {
-            Some(entry) => {
-                self.stats.hits += 1;
-                Some(entry.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+    /// Looks up a key, counting a hit or a miss, and borrows the cached
+    /// entry.
+    pub fn lookup(&self, key: &str) -> Option<&CacheEntry> {
+        let entry = self.entries.get(key);
+        let mut stats = self.stats.get();
+        match entry {
+            Some(_) => stats.hits += 1,
+            None => stats.misses += 1,
         }
+        self.stats.set(stats);
+        entry
+    }
+
+    /// Borrows a cached entry without touching the counters (used to answer
+    /// a miss from the entry it just stored).
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&CacheEntry> {
+        self.entries.get(key)
     }
 
     /// Whether a key is present, without touching the counters (used to plan
@@ -138,7 +143,7 @@ impl SolveCache {
     /// The hit/miss counters so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.stats.get()
     }
 }
 
@@ -147,15 +152,10 @@ mod tests {
     use super::*;
     use crate::winning::SolveEngine;
 
-    fn entry(winning: bool) -> CacheEntry {
+    fn entry(payload: &str) -> CacheEntry {
         CacheEntry {
-            winning,
-            stats: SolverStats {
-                discrete_states: 7,
-                ..SolverStats::default()
-            },
-            strategy: None,
-            controller: None,
+            payload: payload.into(),
+            controller: ",c".into(),
         }
     }
 
@@ -164,14 +164,14 @@ mod tests {
         let mut cache = SolveCache::new();
         let key = SolveCache::key("system x", &SolveOptions::default());
         assert!(cache.lookup(&key).is_none());
-        cache.store(key.clone(), entry(true));
+        cache.store(key.clone(), entry("{p"));
         let hit = cache.lookup(&key).expect("stored entry");
-        assert!(hit.winning);
-        assert_eq!(hit.stats.discrete_states, 7);
+        assert_eq!(*hit, entry("{p"));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(&key));
-        // `contains` does not count.
+        assert_eq!(cache.get(&key), Some(hit));
+        // `contains` and `get` do not count.
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
