@@ -1,7 +1,7 @@
 //! Emits the engine × model ablation matrix as machine-readable JSON, and
 //! optionally gates it against a checked-in baseline.
 //!
-//! Runs every solver engine (`otfur`, `jacobi`, `worklist`) over the
+//! Runs every solver engine (`otfur`, `jacobi`) over the
 //! benchmark model zoo *and* the fixed fuzz seed set
 //! ([`tiga_bench::fuzz_matrix_instances`]) and writes one JSON object per
 //! (model, purpose, engine) combination to `BENCH_solver.json` (override

@@ -1,10 +1,14 @@
-//! Differential tests: the three solver engines must agree.
+//! Differential tests: the two solver engines must agree.
 //!
-//! The Jacobi fixpoint is the oracle.  The on-the-fly (OTFUR) and worklist
-//! engines must return the same `winning_from_initial` on every model-zoo
-//! purpose and on seeded Smart Light mutants, and an exhaustive (no early
-//! termination) on-the-fly run must compute semantically identical winning
-//! federations on every discrete state the oracle explored.
+//! The Jacobi fixpoint is the oracle.  The on-the-fly (OTFUR) engine must
+//! return the same `winning_from_initial` on every model-zoo purpose and on
+//! seeded Smart Light mutants, and an exhaustive (no early termination)
+//! on-the-fly run must compute semantically identical winning federations
+//! on every discrete state the oracle explored.
+//!
+//! The zone store both engines keep their passed lists in must also earn
+//! its keep on the largest zoo model: most offered zones are re-derived
+//! ones that the store answers with a hash probe.
 
 use tiga_bench::{engine_matrix_rows, model_zoo};
 use tiga_models::smart_light;
@@ -24,7 +28,23 @@ fn otfur_options(early_termination: bool) -> SolveOptions {
 fn engines_agree_across_the_model_zoo() {
     for instance in model_zoo() {
         let rows = engine_matrix_rows(&instance);
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
+        if instance.model == "lep4" {
+            // Interning pays on the largest model: most zone offers
+            // re-derive an already-interned zone, and the minimal-constraint
+            // storage saves bytes.
+            for row in &rows {
+                let stats = row.solution.stats();
+                let lookups = stats.intern_hits + stats.interned_zones;
+                let context = format!("lep4/{} [{}]", instance.purpose_name, row.engine);
+                assert!(
+                    stats.intern_hits * 2 > lookups,
+                    "{context}: hit rate {}/{lookups} not above 50%",
+                    stats.intern_hits
+                );
+                assert!(stats.minimized_bytes_saved > 0, "{context}");
+            }
+        }
         let verdicts: Vec<bool> = rows
             .iter()
             .map(|r| r.solution.winning_from_initial)
@@ -100,23 +120,9 @@ fn engines_agree_on_seeded_smart_light_mutants() {
             .expect("jacobi solves mutant");
         let otfur =
             solve(&mutant.system, &purpose, &otfur_options(true)).expect("otfur solves mutant");
-        let worklist = solve(
-            &mutant.system,
-            &purpose,
-            &SolveOptions {
-                engine: SolveEngine::Worklist,
-                ..SolveOptions::default()
-            },
-        )
-        .expect("worklist solves mutant");
         assert_eq!(
             jacobi.winning_from_initial, otfur.winning_from_initial,
             "otfur disagrees with jacobi on mutant {}",
-            mutant.name
-        );
-        assert_eq!(
-            jacobi.winning_from_initial, worklist.winning_from_initial,
-            "worklist disagrees with jacobi on mutant {}",
             mutant.name
         );
         checked += 1;

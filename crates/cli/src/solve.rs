@@ -12,22 +12,20 @@ USAGE:
     tiga solve <file.tg> [OPTIONS]
 
 OPTIONS:
-    --engine otfur|jacobi|worklist   fixpoint engine (default: otfur)
+    --engine otfur|jacobi            fixpoint engine (default: otfur)
     --exhaustive                     disable early termination (propagate the
                                      full winning sets even once the initial
                                      state is decided)
     --no-strategy                    skip strategy extraction
-    --max-rounds N                   fixpoint round / reevaluation budget
+    --max-rounds N                   fixpoint round / reevaluation budget;
+                                     running out of it is an error, not a
+                                     verdict
     --jobs N                         worker threads for the intra-solve
                                      parallel phases; 0 = all cores, default 1
                                      (results are identical for any N)
     --purpose '<control: ...>'       override the file's control: line
     --expect winning|losing          exit non-zero unless the verdict matches
     --show-strategy                  print the synthesized strategy listing
-    --no-intern                      disable the hash-consed zone store for the
-                                     passed lists (results are identical; the
-                                     clone counters then measure the
-                                     pre-interning behavior)
     --stats-json                     emit the full solver statistics as one
                                      JSON object instead of the text report
     --emit-strategy <path>           write the verdict and synthesized
@@ -70,10 +68,9 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
     let engine = match take_value(&mut args, "--engine")?.as_deref() {
         None | Some("otfur") => SolveEngine::Otfur,
         Some("jacobi") => SolveEngine::Jacobi,
-        Some("worklist") => SolveEngine::Worklist,
         Some(other) => {
             return Err(format!(
-                "error: unknown engine `{other}` (expected otfur, jacobi or worklist)"
+                "error: unknown engine `{other}` (expected otfur or jacobi)"
             ))
         }
     };
@@ -105,9 +102,6 @@ pub fn parse_args(args: &[String]) -> Result<SolveArgs, String> {
         }
     };
     let show_strategy = take_flag(&mut args, "--show-strategy");
-    if take_flag(&mut args, "--no-intern") {
-        options.interning = false;
-    }
     let stats_json = take_flag(&mut args, "--stats-json");
     let emit_strategy = take_value(&mut args, "--emit-strategy")?;
     let emit_controller = take_value(&mut args, "--emit-controller")?;
@@ -464,20 +458,44 @@ mod tests {
     }
 
     #[test]
-    fn parses_interning_and_json_flags() {
+    fn parses_json_flag_and_rejects_unknown_engines() {
         let args = parse_args(&strings(&["model.tg"])).unwrap();
-        assert!(args.options.interning, "interning is on by default");
         assert!(!args.stats_json);
-        let args = parse_args(&strings(&["model.tg", "--no-intern", "--stats-json"])).unwrap();
-        assert!(!args.options.interning);
+        let args = parse_args(&strings(&["model.tg", "--stats-json"])).unwrap();
         assert!(args.stats_json);
+        let err = parse_args(&strings(&["model.tg", "--engine", "worklist"])).unwrap_err();
+        assert!(
+            err.contains("unknown engine `worklist` (expected otfur or jacobi)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_used_up_round_budget_exits_1_with_the_solver_error() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/tg/smart_light.tg");
+        for engine in ["otfur", "jacobi"] {
+            let argv = [
+                path.to_str().unwrap(),
+                "--max-rounds",
+                "1",
+                "--engine",
+                engine,
+            ];
+            let err = run_solve(&parse_args(&strings(&argv)).unwrap()).unwrap_err();
+            assert!(
+                err.contains("did not converge within max_rounds = 1"),
+                "{engine}: {err}"
+            );
+            assert_eq!(main(&strings(&argv)), EXIT_FAILURE, "{engine}");
+        }
     }
 
     #[test]
     fn stats_json_reports_the_full_stats_block() {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../examples/tg/smart_light.tg");
-        let mut args = parse_args(&strings(&[path.to_str().unwrap(), "--stats-json"])).unwrap();
+        let args = parse_args(&strings(&[path.to_str().unwrap(), "--stats-json"])).unwrap();
         let report = run_solve(&args).unwrap();
         assert!(report.starts_with('{') && report.ends_with('}'), "{report}");
         for key in [
@@ -506,26 +524,6 @@ mod tests {
             assert!(report.contains(key), "missing {key} in {report}");
         }
         assert!(!report.contains("\"interned_zones\":0,"), "{report}");
-        // Interning off: the interning counters report zero, clone pressure
-        // is measured instead, and the verdict-bearing fields are unchanged.
-        args.options.interning = false;
-        let off = run_solve(&args).unwrap();
-        assert!(off.contains("\"interned_zones\":0,"), "{off}");
-        assert!(off.contains("\"minimized_bytes_saved\":0,"), "{off}");
-        let field = |r: &str, key: &str| {
-            let start = r.find(key).unwrap() + key.len();
-            r[start..]
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect::<String>()
-        };
-        for key in [
-            "\"discrete_states\":",
-            "\"reach_zones\":",
-            "\"winning_zones\":",
-        ] {
-            assert_eq!(field(&report, key), field(&off, key), "{key} differs");
-        }
     }
 
     #[test]

@@ -126,9 +126,13 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
             "{{\"id\":4,\"path\":{}}}",
             json_string(&tg("smart_light.tg"))
         ),
+        format!(
+            "{{\"id\":5,\"path\":{},\"engine\":\"worklist\"}}",
+            json_string(&tg("smart_light.tg"))
+        ),
     ];
     let lines = session(&requests, 1);
-    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert_eq!(lines.len(), 5, "{lines:?}");
     // JSON syntax error: spanned with line and byte offset, id falls back to
     // the line number.
     assert!(
@@ -151,6 +155,13 @@ fn malformed_lines_are_spanned_errors_and_the_session_survives() {
     // The session is still alive and solves the good request.
     assert!(lines[3].contains("\"id\":4,"), "{}", lines[3]);
     assert!(lines[3].contains("\"status\":\"ok\""), "{}", lines[3]);
+    // The removed worklist engine is an unknown engine like any other.
+    assert!(lines[4].contains("\"status\":\"error\""), "{}", lines[4]);
+    assert!(
+        lines[4].contains("unknown engine `worklist`"),
+        "{}",
+        lines[4]
+    );
 }
 
 #[test]
@@ -617,4 +628,66 @@ fn batch_duplicates_of_a_failed_solve_share_its_error() {
             lines[2]
         );
     }
+}
+
+#[test]
+fn a_used_up_round_budget_is_an_error_and_the_session_survives() {
+    let light = json_string(&tg("smart_light.tg"));
+    let starved = format!("{{\"path\":{light},\"max_rounds\":1}}");
+    let requests = vec![
+        starved.clone(),
+        format!("{{\"path\":{light},\"max_rounds\":1,\"engine\":\"jacobi\"}}"),
+        // An unfinished fixpoint is not cached: the repeat fails again.
+        starved,
+        format!("{{\"path\":{light}}}"),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for line in &lines[..3] {
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(
+            line.contains("did not converge within max_rounds = 1"),
+            "{line}"
+        );
+    }
+    assert!(lines[3].contains("\"status\":\"ok\""), "{}", lines[3]);
+    assert!(lines[3].contains("\"verdict\":\"winning\""), "{}", lines[3]);
+}
+
+#[test]
+fn deeply_nested_models_and_purposes_are_errors_and_the_session_survives() {
+    let light = json_string(&tg("smart_light.tg"));
+    let deep_model = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../lang/tests/corpus/deep_parens.tg")
+        .to_string_lossy()
+        .into_owned();
+    let deep = 200_000;
+    let nots = format!("control: A<> {}IUT.Bright", "not ".repeat(deep));
+    let parens = format!(
+        "control: A<> {}IUT.Bright{}",
+        "(".repeat(deep),
+        ")".repeat(deep)
+    );
+    let requests = vec![
+        format!(
+            "{{\"id\":1,\"path\":{light},\"purpose\":{}}}",
+            json_string(&nots)
+        ),
+        format!(
+            "{{\"id\":2,\"path\":{light},\"purpose\":{}}}",
+            json_string(&parens)
+        ),
+        format!("{{\"id\":3,\"path\":{}}}", json_string(&deep_model)),
+        format!("{{\"id\":4,\"path\":{light}}}"),
+    ];
+    let lines = session(&requests, 1);
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for line in &lines[..2] {
+        assert!(line.contains("\"status\":\"error\""), "{line}");
+        assert!(line.contains("levels of nesting"), "{line}");
+    }
+    assert!(lines[2].contains("\"status\":\"error\""), "{}", lines[2]);
+    assert!(lines[2].contains("nested deeper than"), "{}", lines[2]);
+    assert!(lines[3].contains("\"id\":4,"), "{}", lines[3]);
+    assert!(lines[3].contains("\"status\":\"ok\""), "{}", lines[3]);
 }

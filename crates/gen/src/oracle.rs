@@ -3,9 +3,9 @@
 //! 1. **Engine agreement** — every solver engine must return the same
 //!    verdict on a generated game — reachability (`A<>`) *and* safety
 //!    (`A[]`) — and (for small graphs) semantically identical winning
-//!    federations: the worklist engine must match the Jacobi oracle
-//!    exactly, and the exhaustive on-the-fly engine must match
-//!    `jacobi ∩ reach` per discrete state (its documented confinement).
+//!    federations: the exhaustive on-the-fly engine must match the Jacobi
+//!    oracle's `jacobi ∩ reach` per discrete state (its documented
+//!    confinement).
 //! 2. **Roundtrip** — `parse(print(sys)) ≡ sys` and the objective survives,
 //!    on *generated* systems rather than the hand-written zoo.
 //! 3. **Zone algebra** — `Federation` `up`/`down`/`free`/`reset`/
@@ -99,7 +99,6 @@ pub fn check_engine_agreement(
     };
     let mut runs: Vec<(&'static str, GameSolution)> = Vec::new();
     for (name, engine, early) in [
-        ("worklist", SolveEngine::Worklist, true),
         ("otfur", SolveEngine::Otfur, true),
         ("otfur-exhaustive", SolveEngine::Otfur, false),
     ] {
@@ -126,7 +125,8 @@ pub fn check_engine_agreement(
         }
     }
     if jacobi.graph.len() <= options.deep_compare_limit {
-        if let Some(detail) = deep_compare(system, &jacobi, &runs) {
+        let (_, exhaustive) = runs.last().expect("the exhaustive run is last");
+        if let Some(detail) = deep_compare(system, &jacobi, exhaustive) {
             return EngineCheck::Diverged(detail);
         }
     }
@@ -199,61 +199,35 @@ fn verdict(winning: bool) -> &'static str {
     }
 }
 
-/// Winning-set comparison beyond the verdict (see module docs).
+/// Winning-set comparison beyond the verdict (see module docs): the
+/// exhaustive on-the-fly engine confines winning sets to the explored reach
+/// zones, so it must compute `jacobi ∩ reach` per state.  (Early-terminating
+/// otfur may stop anywhere; only its verdict is comparable.)
 fn deep_compare(
     system: &System,
     jacobi: &GameSolution,
-    runs: &[(&'static str, GameSolution)],
+    exhaustive: &GameSolution,
 ) -> Option<String> {
-    for (name, solution) in runs {
-        match *name {
-            // The worklist engine explores the same eager graph and computes
-            // the same fixpoint.
-            "worklist" => {
-                for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let Some(other) = solution.graph.node_of(&node.discrete) else {
-                        return Some(format!(
-                            "worklist graph is missing state {}",
-                            node.discrete.display(system)
-                        ));
-                    };
-                    if !jacobi.winning[id].set_equals(&solution.winning[other]) {
-                        return Some(format!(
-                            "worklist winning set differs from jacobi in {}",
-                            node.discrete.display(system)
-                        ));
-                    }
-                }
-            }
-            // The exhaustive on-the-fly engine confines winning sets to the
-            // explored reach zones: expected = jacobi ∩ reach, per state.
-            "otfur-exhaustive" => {
-                if solution.graph.len() != jacobi.graph.len() {
-                    return Some(format!(
-                        "exhaustive otfur explored {} states, jacobi {}",
-                        solution.graph.len(),
-                        jacobi.graph.len()
-                    ));
-                }
-                for (id, node) in jacobi.graph.nodes().iter().enumerate() {
-                    let Some(other) = solution.graph.node_of(&node.discrete) else {
-                        return Some(format!(
-                            "exhaustive otfur graph is missing state {}",
-                            node.discrete.display(system)
-                        ));
-                    };
-                    let expected = jacobi.winning[id].intersection(&node.reach);
-                    if !expected.set_equals(&solution.winning[other]) {
-                        return Some(format!(
-                            "exhaustive otfur winning set differs from jacobi ∩ reach in {}",
-                            node.discrete.display(system)
-                        ));
-                    }
-                }
-            }
-            // Early-terminating otfur may stop anywhere; only its verdict is
-            // comparable.
-            _ => {}
+    if exhaustive.graph.len() != jacobi.graph.len() {
+        return Some(format!(
+            "exhaustive otfur explored {} states, jacobi {}",
+            exhaustive.graph.len(),
+            jacobi.graph.len()
+        ));
+    }
+    for (id, node) in jacobi.graph.nodes().iter().enumerate() {
+        let Some(other) = exhaustive.graph.node_of(&node.discrete) else {
+            return Some(format!(
+                "exhaustive otfur graph is missing state {}",
+                node.discrete.display(system)
+            ));
+        };
+        let expected = jacobi.winning[id].intersection(&node.reach);
+        if !expected.set_equals(&exhaustive.winning[other]) {
+            return Some(format!(
+                "exhaustive otfur winning set differs from jacobi ∩ reach in {}",
+                node.discrete.display(system)
+            ));
         }
     }
     None

@@ -63,6 +63,14 @@ pub const KEYWORDS: &[&str] = &[
     "false",
 ];
 
+/// Deepest expression nesting the parser accepts.  Every level of
+/// parentheses, brackets or conditional branches, every prefix operator and
+/// every binary operator counts one level, so the limit bounds both the
+/// parser's own recursion and the depth of the tree it builds — and with it
+/// every later recursive pass (lowering, printing, dropping).  Deeper input
+/// is a spanned error, not a stack overflow.
+const MAX_NESTING: usize = 64;
+
 /// Returns `true` if `name` can be written bare (unquoted) in `.tg` source.
 #[must_use]
 pub fn is_bare_name(name: &str) -> bool {
@@ -105,6 +113,7 @@ pub fn parse_file(source: &str) -> Result<FileAst, LangError> {
         tokens,
         pos: 0,
         end: source.len(),
+        depth: 0,
     };
     parser.file()
 }
@@ -114,6 +123,8 @@ struct Parser {
     pos: usize,
     /// Byte length of the source, for end-of-input spans.
     end: usize,
+    /// Current expression nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -148,6 +159,31 @@ impl Parser {
                 Span::at(self.end),
             ),
         }
+    }
+
+    /// Enters one more level of expression nesting.  The caller restores
+    /// `depth` once the nested part is parsed (an error abandons the whole
+    /// parse, so error paths need not).
+    fn descend(&mut self) -> Result<(), LangError> {
+        if self.depth >= MAX_NESTING {
+            return Err(LangError::parse(
+                format!("expression nested deeper than {MAX_NESTING} levels"),
+                self.here(),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<ExprAst, LangError>,
+    ) -> Result<ExprAst, LangError> {
+        self.descend()?;
+        let expr = parse(self)?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn expect(&mut self, kind: &TokenKind, expected: &str) -> Result<Span, LangError> {
@@ -561,7 +597,7 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<ExprAst, LangError> {
-        self.ite_expr()
+        self.nested(Self::ite_expr)
     }
 
     /// Ternary conditional, right-associative, lowest precedence.
@@ -569,9 +605,9 @@ impl Parser {
         let cond = self.or_expr()?;
         if matches!(self.peek(), Some(t) if t.kind == TokenKind::Question) {
             self.bump();
-            let then = self.ite_expr()?;
+            let then = self.expr()?;
             self.expect(&TokenKind::Colon, "`:` of the conditional")?;
-            let otherwise = self.ite_expr()?;
+            let otherwise = self.expr()?;
             let span = cond.span.to(otherwise.span);
             Ok(ExprAst {
                 kind: ExprKind::Ite(Box::new(cond), Box::new(then), Box::new(otherwise)),
@@ -583,9 +619,11 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<ExprAst, LangError> {
+        let outer = self.depth;
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), Some(t) if t.kind == TokenKind::OrOr) {
             self.bump();
+            self.descend()?;
             let rhs = self.and_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -593,13 +631,16 @@ impl Parser {
                 span,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<ExprAst, LangError> {
+        let outer = self.depth;
         let mut lhs = self.cmp_expr()?;
         while matches!(self.peek(), Some(t) if t.kind == TokenKind::AndAnd) {
             self.bump();
+            self.descend()?;
             let rhs = self.cmp_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -607,6 +648,7 @@ impl Parser {
                 span,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -624,7 +666,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let rhs = self.add_expr()?;
+            let rhs = self.nested(Self::add_expr)?;
             let span = lhs.span.to(rhs.span);
             Ok(ExprAst {
                 kind: ExprKind::Cmp(op, Box::new(lhs), Box::new(rhs)),
@@ -636,6 +678,7 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<ExprAst, LangError> {
+        let outer = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -644,6 +687,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let rhs = self.mul_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -651,10 +695,12 @@ impl Parser {
                 span,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<ExprAst, LangError> {
+        let outer = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -664,6 +710,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
+            self.descend()?;
             let rhs = self.unary_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -671,6 +718,7 @@ impl Parser {
                 span,
             };
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -678,7 +726,7 @@ impl Parser {
         match self.peek().map(|t| &t.kind) {
             Some(TokenKind::Bang) => {
                 let start = self.bump().expect("peeked").span;
-                let inner = self.unary_expr()?;
+                let inner = self.nested(Self::unary_expr)?;
                 let span = start.to(inner.span);
                 Ok(ExprAst {
                     kind: ExprKind::Not(Box::new(inner)),
@@ -705,7 +753,7 @@ impl Parser {
                     })
                 } else {
                     let start = self.bump().expect("peeked").span;
-                    let inner = self.unary_expr()?;
+                    let inner = self.nested(Self::unary_expr)?;
                     let span = start.to(inner.span);
                     Ok(ExprAst {
                         kind: ExprKind::Neg(Box::new(inner)),

@@ -84,6 +84,11 @@ fn specific_diagnostics_name_the_problem() {
         ("clock_in_data_guard.tg", "clocks cannot appear"),
         ("no_automaton.tg", "at least one automaton"),
         ("missing_arrow.tg", "`->`"),
+        ("deep_parens.tg", "nested deeper than"),
+        ("deep_negation.tg", "nested deeper than"),
+        ("long_sum.tg", "nested deeper than"),
+        ("deep_control_negation.tg", "levels of nesting"),
+        ("deep_control_parens.tg", "levels of nesting"),
     ];
     for (file, needle) in expectations {
         let path = corpus_dir().join(file);

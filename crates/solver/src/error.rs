@@ -17,6 +17,13 @@ pub enum SolverError {
         /// The configured limit that was hit.
         limit: usize,
     },
+    /// The fixpoint did not converge within the configured round budget
+    /// ([`crate::SolveOptions::max_rounds`]): the sets computed so far are
+    /// not a verdict.
+    RoundLimitExceeded {
+        /// The configured budget that ran out.
+        limit: usize,
+    },
     /// The requested objective is not supported by this solver entry point.
     Unsupported(String),
 }
@@ -30,6 +37,12 @@ impl fmt::Display for SolverError {
                 write!(
                     f,
                     "symbolic exploration exceeded the limit of {limit} discrete states"
+                )
+            }
+            SolverError::RoundLimitExceeded { limit } => {
+                write!(
+                    f,
+                    "the fixpoint did not converge within max_rounds = {limit}"
                 )
             }
             SolverError::Unsupported(what) => write!(f, "unsupported objective: {what}"),

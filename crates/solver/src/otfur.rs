@@ -9,7 +9,7 @@
 //! * **forward**: popping a state expands its not-yet-processed reach zones,
 //!   interning newly discovered discrete states (hashing-based, via
 //!   [`tiga_model::Explorer`]) and subsuming re-reached zones against the
-//!   passed list ([`Federation::insert_subsumed`]);
+//!   interned passed list ([`ZoneSet::insert`]);
 //! * **backward**: the same pop re-evaluates the state's winning federation
 //!   with the shared `π` update ([`crate::winning::pi_update`]); growth wakes
 //!   the recorded dependents, exactly like the `Depend` sets of the paper;
@@ -39,7 +39,7 @@
 //!
 //! Edges are discovered *per expanded zone*: an edge whose clock guard meets
 //! none of a state's expanded reach zones is unknown to the search.  The
-//! eager engines are safe against this because they finish exploration
+//! eager Jacobi engine is safe against this because it finishes exploration
 //! before the first fixpoint step; an interleaved search is not — a state
 //! evaluated early could claim winning valuations in invariant regions where
 //! an undiscovered uncontrollable escape is enabled, and monotone growth
@@ -50,7 +50,7 @@
 //! enabled edge is known; and because the reach set is closed under the game
 //! dynamics (successor zones of reach zones are offered to the target,
 //! delay-closed zones absorb delays), the confined fixpoint agrees with the
-//! eager engines' fixpoint on every reachable valuation — in particular at
+//! eager engine's fixpoint on every reachable valuation — in particular at
 //! the initial state.  An exhaustive run computes exactly
 //! `lfp ∩ reach` per state.
 
@@ -66,11 +66,10 @@ use tiga_tctl::StatePredicate;
 
 /// Per-state bookkeeping of the search, indexed like the explorer's states.
 struct NodeData {
-    /// Passed list: union of the delay-closed zones with which the state was
-    /// reached.  Stays empty when interning is on — the authoritative passed
-    /// list is then the node's [`ZoneSet`] in [`Search::reach_sets`], and
-    /// [`Search::finish`] materializes the federation from it.
-    reach: Federation,
+    /// Passed list: the interned delay-closed zones with which the state was
+    /// reached.  [`Search::finish`] materializes it into the graph's reach
+    /// federation.
+    reach: ZoneSet,
     /// Reach zones not yet expanded forward.
     frontier: Vec<Dbm>,
     /// Outgoing joint edges discovered so far (deduplicated).
@@ -122,12 +121,9 @@ struct Search<'a> {
     pruned_evaluations: usize,
     pops: usize,
     early_terminated: bool,
-    /// Hash-consing zone store for the passed lists
-    /// (`Some` iff [`SolveOptions::interning`]).  Mutated only in the
+    /// Hash-consing zone store for the passed lists.  Mutated only in the
     /// sequential phases, so results stay bit-identical for any `jobs`.
-    store: Option<ZoneStore>,
-    /// Interned passed list per node (used only when `store` is `Some`).
-    reach_sets: Vec<ZoneSet>,
+    store: ZoneStore,
     /// Interning/clone/peak counters reported through the engine outcome.
     mem: MemCounters,
     /// Current total zone count across all passed lists.
@@ -167,8 +163,7 @@ pub(crate) fn run(
         pruned_evaluations: 0,
         pops: 0,
         early_terminated: false,
-        store: options.interning.then(|| ZoneStore::new(system.dim())),
-        reach_sets: Vec::new(),
+        store: ZoneStore::new(system.dim()),
         mem: MemCounters::default(),
         reach_total: 0,
         win_total: 0,
@@ -199,7 +194,7 @@ impl Search<'_> {
             let is_goal = self.goal.holds(self.system, &state.discrete)?;
             let boundary = invariant_boundary(&state.invariant, state.urgent);
             self.nodes.push(NodeData {
-                reach: Federation::empty(self.system.dim()),
+                reach: ZoneSet::default(),
                 frontier: Vec::new(),
                 edges: Vec::new(),
                 depend: Vec::new(),
@@ -208,7 +203,6 @@ impl Search<'_> {
             });
             self.win.push(Federation::empty(self.system.dim()));
             self.in_queue.push(false);
-            self.reach_sets.push(ZoneSet::default());
         }
         Ok(())
     }
@@ -220,30 +214,13 @@ impl Search<'_> {
     /// zone immediately extends the winning federation (recorded as a rank-0
     /// wait region) and wakes the goal's dependents.
     fn offer_zone(&mut self, node: NodeId, zone: Dbm) -> bool {
-        let inserted = if let Some(store) = &mut self.store {
-            let set = &mut self.reach_sets[node];
-            let before = set.len();
-            let inserted = set.insert(store, &zone);
-            self.reach_total = self.reach_total + set.len() - before;
-            inserted
-        } else {
-            // Pre-interning representation: the passed list owns a deep copy
-            // of every offered zone, counted as clone pressure.
-            self.mem.dbm_clones += 1;
-            let data = &mut self.nodes[node];
-            let before = data.reach.len();
-            let inserted = data.reach.insert_subsumed(zone.clone());
-            self.reach_total = self.reach_total + data.reach.len() - before;
-            inserted
-        };
+        let set = &mut self.nodes[node].reach;
+        let before = set.len();
+        let inserted = set.insert(&mut self.store, &zone);
+        self.reach_total = self.reach_total + set.len() - before;
         if !inserted {
             self.subsumed_zones += 1;
             return false;
-        }
-        if self.store.is_none() {
-            // The pre-interning frontier copy (with interning the frontier
-            // takes the offered zone by move, below).
-            self.mem.dbm_clones += 1;
         }
         if self.nodes[node].is_goal {
             // Reach zones are delay-closed within the invariant, so the zone
@@ -340,7 +317,9 @@ impl Search<'_> {
                     .max_rounds
                     .saturating_mul(self.nodes.len().max(1))
             {
-                break;
+                return Err(SolverError::RoundLimitExceeded {
+                    limit: self.options.max_rounds,
+                });
             }
             // Phase 1: expansion, to a cross-batch fixpoint — a member
             // expanded early may be offered a new zone by a later member
@@ -425,7 +404,7 @@ impl Search<'_> {
     /// retract them (the reach-confinement soundness argument requires
     /// every reach zone to be expanded before the state is evaluated).  The
     /// loop terminates because every offered zone is extrapolated (finitely
-    /// many distinct zones per state) and [`Federation::insert_subsumed`]
+    /// many distinct zones per state) and [`ZoneSet::insert`]
     /// admits only zones that add coverage.
     fn absorb_steps(
         &mut self,
@@ -499,11 +478,7 @@ impl Search<'_> {
         // reach zones the edge set may be incomplete, so winning valuations
         // there cannot be trusted — and are irrelevant for any reachable
         // play, because the reach set is closed under the game dynamics.
-        let mut new_win = if let Some(store) = &self.store {
-            unconfined.intersection_with_members(self.reach_sets[node].zones(store))
-        } else {
-            unconfined.intersection(&data.reach)
-        };
+        let mut new_win = unconfined.intersection_with_members(data.reach.zones(&self.store));
         new_win.reduce_exact();
         if self.win[node].includes(&new_win) {
             return Ok(EvalOutcome::Unchanged);
@@ -578,7 +553,6 @@ impl Search<'_> {
             pruned_evaluations,
             early_terminated,
             store,
-            reach_sets,
             mut mem,
             ..
         } = self;
@@ -587,27 +561,21 @@ impl Search<'_> {
             .enumerate()
             .map(|(idx, data)| {
                 let state = explorer.state(idx);
-                let reach = match &store {
-                    Some(store) => reach_sets[idx].to_federation(store),
-                    None => data.reach,
-                };
                 GameNode {
                     discrete: state.discrete.clone(),
                     invariant: state.invariant.clone(),
-                    reach,
+                    reach: data.reach.to_federation(&store),
                     edges: data.edges,
                     is_goal: data.is_goal,
                     urgent: state.urgent,
                 }
             })
             .collect();
-        if let Some(store) = &store {
-            mem.interned_zones = store.len();
-            mem.intern_hits = store.hits();
-            // Every intern miss deep-copied the candidate into the store.
-            mem.dbm_clones += store.len();
-            mem.minimized_bytes_saved = store.bytes_saved();
-        }
+        mem.interned_zones = store.len();
+        mem.intern_hits = store.hits();
+        // Every intern miss deep-copied the candidate into the store.
+        mem.dbm_clones += store.len();
+        mem.minimized_bytes_saved = store.bytes_saved();
         let graph = GameGraph::from_parts(game_nodes, root);
         Ok((
             graph,

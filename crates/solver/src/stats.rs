@@ -10,8 +10,8 @@ pub struct SolverStats {
     pub discrete_states: usize,
     /// Number of joint edges stored in the explored game graph.
     pub graph_edges: usize,
-    /// Number of fixpoint rounds (Jacobi solver) or worklist pops (on-the-fly
-    /// solver) until convergence.
+    /// Number of fixpoint rounds (Jacobi solver) or waiting-list pops
+    /// (on-the-fly solver) until convergence.
     pub iterations: usize,
     /// Total number of DBMs in the final winning federations.
     pub winning_zones: usize,
@@ -30,24 +30,19 @@ pub struct SolverStats {
     /// Whether the search stopped early because the initial state was decided
     /// before the waiting list drained (on-the-fly solver).
     pub early_terminated: bool,
-    /// Distinct canonical zones interned by the per-solve zone store
-    /// (0 when interning is disabled).
+    /// Distinct canonical zones interned by the per-solve zone store.
     pub interned_zones: usize,
     /// Intern lookups that found the zone already present — re-derived
-    /// zones that cost a hash probe instead of a deep copy (0 when interning
-    /// is disabled).
+    /// zones that cost a hash probe instead of a deep copy.
     pub intern_hits: usize,
-    /// Deep DBM copies made at the solver's storage sites (passed lists,
-    /// expansion frontiers, goal seeds).  With interning disabled this
-    /// reproduces and counts the pre-interning clone behavior; with it
-    /// enabled only intern misses and goal seeds still copy.
+    /// Deep DBM copies made at the solver's storage sites: intern misses
+    /// (the store keeps one copy per distinct zone) and goal seeds.
     pub dbm_clones: usize,
     /// Largest number of zones simultaneously held by the reach and winning
-    /// federations (identical with interning on or off, and for any thread
-    /// count).
+    /// federations (identical for any thread count).
     pub peak_live_zones: usize,
     /// Bytes saved by keeping interned zones in minimal-constraint form
-    /// instead of full `n²` matrices (0 when interning is disabled).
+    /// instead of full `n²` matrices.
     pub minimized_bytes_saved: usize,
 }
 

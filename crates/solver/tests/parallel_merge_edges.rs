@@ -16,11 +16,7 @@ use tiga_model::{AutomatonBuilder, EdgeBuilder, System, SystemBuilder};
 use tiga_solver::{solve, SolveEngine, SolveOptions};
 use tiga_tctl::TestPurpose;
 
-const ENGINES: [SolveEngine; 3] = [
-    SolveEngine::Otfur,
-    SolveEngine::Jacobi,
-    SolveEngine::Worklist,
-];
+const ENGINES: [SolveEngine; 2] = [SolveEngine::Otfur, SolveEngine::Jacobi];
 const JOB_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// P's `step?` edges are closed by a chaotic environment automaton offering

@@ -48,14 +48,54 @@ enum RawRange {
     Span(i64, i64),
 }
 
+/// Deepest formula nesting the parser accepts.  Every level of parentheses
+/// or brackets, every `not`, quantifier and unary minus, and every binary
+/// operator counts one level, so the limit bounds both the parser's own
+/// recursion and the depth of the tree it builds — and with it resolution
+/// and every later pass over the predicate.  Deeper input is a positioned
+/// error, not a stack overflow.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'t> {
     tokens: &'t [Token],
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'t> Parser<'t> {
     fn new(tokens: &'t [Token]) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Enters one more level of nesting.  The caller restores `depth` once
+    /// the nested part is parsed (an error abandons the whole parse, so
+    /// error paths need not).
+    fn descend(&mut self) -> Result<(), TctlError> {
+        if self.depth >= MAX_NESTING {
+            return Err(TctlError::Parse {
+                position: self.position(),
+                expected: format!("at most {MAX_NESTING} levels of nesting"),
+                found: "a deeper sub-formula".to_string(),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Raw, TctlError>,
+    ) -> Result<Raw, TctlError> {
+        self.descend()?;
+        let raw = parse(self)?;
+        self.depth -= 1;
+        Ok(raw)
     }
 
     fn peek(&self) -> Option<&TokenKind> {
@@ -146,7 +186,7 @@ impl<'t> Parser<'t> {
         let lhs = self.parse_or()?;
         if self.peek() == Some(&TokenKind::Imply) {
             self.pos += 1;
-            let rhs = self.parse_imply()?;
+            let rhs = self.nested(Self::parse_imply)?;
             Ok(Raw::Bin(RawOp::Imply, Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -154,22 +194,28 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_or(&mut self) -> Result<Raw, TctlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_and()?;
         while self.peek() == Some(&TokenKind::Or) {
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_and()?;
             lhs = Raw::Bin(RawOp::Or, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Raw, TctlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_quantified()?;
         while self.peek() == Some(&TokenKind::And) {
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_quantified()?;
             lhs = Raw::Bin(RawOp::And, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -177,7 +223,7 @@ impl<'t> Parser<'t> {
         match self.peek() {
             Some(TokenKind::Not) => {
                 self.pos += 1;
-                Ok(Raw::Not(Box::new(self.parse_quantified()?)))
+                Ok(Raw::Not(Box::new(self.nested(Self::parse_quantified)?)))
             }
             Some(TokenKind::Ident(name)) if name == "forall" || name == "exists" => {
                 let is_forall = name == "forall";
@@ -187,7 +233,7 @@ impl<'t> Parser<'t> {
                 self.expect(&TokenKind::Colon, "`:` in quantifier binder")?;
                 let range = self.parse_range()?;
                 self.expect(&TokenKind::RParen, "`)` closing the quantifier binder")?;
-                let body = Box::new(self.parse_quantified()?);
+                let body = Box::new(self.nested(Self::parse_quantified)?);
                 Ok(if is_forall {
                     Raw::Forall(var, range, body)
                 } else {
@@ -235,13 +281,14 @@ impl<'t> Parser<'t> {
             None => Ok(lhs),
             Some(op) => {
                 self.pos += 1;
-                let rhs = self.parse_add()?;
+                let rhs = self.nested(Self::parse_add)?;
                 Ok(Raw::Bin(RawOp::Cmp(op), Box::new(lhs), Box::new(rhs)))
             }
         }
     }
 
     fn parse_add(&mut self) -> Result<Raw, TctlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek() {
@@ -250,13 +297,16 @@ impl<'t> Parser<'t> {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_mul()?;
             lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_mul(&mut self) -> Result<Raw, TctlError> {
+        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -266,16 +316,18 @@ impl<'t> Parser<'t> {
                 _ => break,
             };
             self.pos += 1;
+            self.descend()?;
             let rhs = self.parse_unary()?;
             lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Raw, TctlError> {
         if self.peek() == Some(&TokenKind::Minus) {
             self.pos += 1;
-            Ok(Raw::Neg(Box::new(self.parse_unary()?)))
+            Ok(Raw::Neg(Box::new(self.nested(Self::parse_unary)?)))
         } else {
             self.parse_atom()
         }
@@ -289,7 +341,7 @@ impl<'t> Parser<'t> {
             }
             Some(TokenKind::LParen) => {
                 self.pos += 1;
-                let inner = self.parse_imply()?;
+                let inner = self.nested(Self::parse_imply)?;
                 self.expect(&TokenKind::RParen, "closing `)`")?;
                 Ok(inner)
             }
@@ -308,7 +360,7 @@ impl<'t> Parser<'t> {
                     }
                     Some(TokenKind::LBracket) => {
                         self.pos += 1;
-                        let idx = self.parse_add()?;
+                        let idx = self.nested(Self::parse_add)?;
                         self.expect(&TokenKind::RBracket, "closing `]`")?;
                         Ok(Raw::Index(name, Box::new(idx)))
                     }
@@ -948,5 +1000,31 @@ mod tests {
             parse_predicate("true and IUT.Off", &sys).unwrap(),
             parse_predicate("IUT.Off", &sys).unwrap()
         );
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error() {
+        let sys = sample_system();
+        let deep = 200_000;
+        for (what, formula) in [
+            ("nots", format!("{}IUT.Bright", "not ".repeat(deep))),
+            (
+                "parens",
+                format!("{}IUT.Bright{}", "(".repeat(deep), ")".repeat(deep)),
+            ),
+            ("chain", vec!["IUT.Bright"; deep].join(" and ")),
+            ("minus", format!("{}1 == 1", "-".repeat(deep))),
+        ] {
+            let text = format!("control: A<> {formula}");
+            let err = TestPurpose::parse(&text, &sys).unwrap_err();
+            assert!(
+                matches!(&err, TctlError::Parse { position, expected, .. }
+                    if expected.contains("levels of nesting") && (1..text.len()).contains(position)),
+                "{what}: {err:?}"
+            );
+        }
+        // Realistic nesting stays well inside the limit.
+        let ok = format!("{}IUT.Bright{}", "(not ".repeat(30), ")".repeat(30));
+        assert!(parse_predicate(&ok, &sys).is_ok());
     }
 }

@@ -3,7 +3,7 @@
 //! benchmark harness (`crates/bench/benches/table1_lep.rs`).
 
 use tiga::models::leader_election::{plant, product, LepConfig};
-use tiga::solver::{solve_jacobi, solve_worklist, SolveOptions};
+use tiga::solver::{solve, solve_jacobi, SolveOptions};
 use tiga::tctl::TestPurpose;
 use tiga::testing::{OutputPolicy, SimulatedIut, TestConfig, TestHarness, Verdict};
 
@@ -52,14 +52,34 @@ fn tp1_is_cheaper_than_tp2_and_tp3() {
 }
 
 #[test]
-fn jacobi_and_worklist_agree_on_lep() {
+fn exhaustive_otfur_and_jacobi_agree_on_lep() {
+    // Without early termination the on-the-fly engine explores the same
+    // states as the eager oracle, and within its reach zones computes the
+    // same winning sets.
     let config = LepConfig::new(3);
     let system = product(config).expect("model builds");
+    let exhaustive = SolveOptions {
+        early_termination: false,
+        ..SolveOptions::default()
+    };
     for (_, text) in config.purposes() {
         let purpose = TestPurpose::parse(&text, &system).expect("parses");
-        let a = solve_jacobi(&system, &purpose, &SolveOptions::default()).expect("solves");
-        let b = solve_worklist(&system, &purpose, &SolveOptions::default()).expect("solves");
-        assert_eq!(a.winning_from_initial, b.winning_from_initial, "{text}");
+        let jacobi = solve_jacobi(&system, &purpose, &SolveOptions::default()).expect("solves");
+        let otfur = solve(&system, &purpose, &exhaustive).expect("solves");
+        assert_eq!(
+            jacobi.winning_from_initial, otfur.winning_from_initial,
+            "{text}"
+        );
+        assert_eq!(jacobi.graph.len(), otfur.graph.len(), "{text}");
+        for (id, node) in jacobi.graph.nodes().iter().enumerate() {
+            let other = otfur.graph.node_of(&node.discrete).expect("explored");
+            let expected = jacobi.winning[id].intersection(&node.reach);
+            assert!(
+                expected.set_equals(&otfur.winning[other]),
+                "{text}: winning sets differ in {}",
+                node.discrete.display(&system)
+            );
+        }
     }
 }
 
