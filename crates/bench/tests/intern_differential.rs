@@ -1,134 +1,16 @@
-//! Interning equivalence suite: hash-consed zone interning is a pure
-//! representation change.
+//! Interning acceptance: the hash-consed zone store both engines keep their
+//! passed lists in must pay off on the largest zoo model.
 //!
-//! For every engine × benchmark-zoo/fuzz instance × `jobs ∈ {1, 4}`, solving
-//! with [`SolveOptions::interning`] on and off must produce **bit-identical**
-//! results:
-//!
-//! * the verdict (`winning_from_initial`),
-//! * the full per-node winning federations (structural equality, so even
-//!   zone *order* inside each federation must match),
-//! * every [`SolverStats`] counter except the five interning/memory counters
-//!   themselves (`interned_zones`, `intern_hits`, `dbm_clones`,
-//!   `peak_live_zones`, `minimized_bytes_saved`), which describe the
-//!   representation and legitimately differ between the two modes,
-//! * the extracted strategy decisions, state by state.
-//!
-//! This holds by construction — [`tiga_dbm::ZoneSet::insert`] mirrors
-//! [`tiga_dbm::Federation::insert_subsumed`] verdict-for-verdict and
-//! member-for-member — and this suite pins the construction.  A second test
-//! pins that interning actually pays off on the largest zoo instances.
-//!
-//! Mirrors `crates/solver/tests/parallel_determinism.rs`, which pins the
-//! same contract for the thread count.
+//! Most zone offers must re-derive an already-interned zone (a hash probe
+//! instead of a deep copy), the deep-copy pressure must stay at most half of
+//! the offers a copy-per-offer store would have made, and the
+//! minimal-constraint storage must save bytes.
 
-use tiga_bench::{fuzz_matrix_instances, model_zoo, ZooInstance};
-use tiga_solver::{solve, GameSolution, SolveEngine, SolveOptions, SolverStats, StrategyRule};
+use tiga_bench::model_zoo;
+use tiga_solver::{solve, SolveEngine, SolveOptions};
 
-const ENGINES: [SolveEngine; 3] = [
-    SolveEngine::Otfur,
-    SolveEngine::Jacobi,
-    SolveEngine::Worklist,
-];
+const ENGINES: [SolveEngine; 2] = [SolveEngine::Otfur, SolveEngine::Jacobi];
 
-/// The stats with the five representation counters masked out — everything
-/// left must be bit-identical with interning on or off.
-fn normalized(stats: &SolverStats) -> SolverStats {
-    SolverStats {
-        interned_zones: 0,
-        intern_hits: 0,
-        dbm_clones: 0,
-        peak_live_zones: 0,
-        minimized_bytes_saved: 0,
-        ..stats.clone()
-    }
-}
-
-/// The strategy flattened into graph-node order so two runs can be compared
-/// decision by decision (the `Strategy` map itself is hash-ordered).
-fn strategy_decisions(solution: &GameSolution) -> Option<Vec<Vec<StrategyRule>>> {
-    let strategy = solution.strategy.as_ref()?;
-    Some(
-        (0..solution.graph.len())
-            .map(|node| {
-                strategy
-                    .rules_for(&solution.graph.node(node).discrete)
-                    .map(<[StrategyRule]>::to_vec)
-                    .unwrap_or_default()
-            })
-            .collect(),
-    )
-}
-
-fn assert_interning_equivalent(instance: &ZooInstance, engine: SolveEngine) {
-    for jobs in [1usize, 4] {
-        let options = |interning| SolveOptions {
-            engine,
-            jobs,
-            interning,
-            ..SolveOptions::default()
-        };
-        let context = format!(
-            "{}/{} [{} jobs={jobs}]",
-            instance.model,
-            instance.purpose_name,
-            engine.name()
-        );
-        let on = solve(&instance.system, &instance.purpose, &options(true)).expect("interned");
-        let off = solve(&instance.system, &instance.purpose, &options(false)).expect("plain");
-        assert_eq!(
-            on.winning_from_initial, off.winning_from_initial,
-            "{context}: verdict differs"
-        );
-        assert_eq!(
-            normalized(on.stats()),
-            normalized(off.stats()),
-            "{context}: SolverStats differ beyond the interning counters"
-        );
-        assert_eq!(
-            on.winning, off.winning,
-            "{context}: winning federations differ"
-        );
-        assert_eq!(
-            strategy_decisions(&on),
-            strategy_decisions(&off),
-            "{context}: strategy decisions differ"
-        );
-        // Mode sanity: the interning counters only tick in their own mode.
-        assert_eq!(off.stats().interned_zones, 0, "{context}");
-        assert_eq!(off.stats().intern_hits, 0, "{context}");
-        assert_eq!(off.stats().minimized_bytes_saved, 0, "{context}");
-        assert!(on.stats().interned_zones > 0, "{context}: store never used");
-    }
-}
-
-fn sweep(engine: SolveEngine) {
-    for instance in model_zoo() {
-        assert_interning_equivalent(&instance, engine);
-    }
-    for instance in fuzz_matrix_instances() {
-        assert_interning_equivalent(&instance, engine);
-    }
-}
-
-#[test]
-fn otfur_is_bit_identical_with_and_without_interning() {
-    sweep(SolveEngine::Otfur);
-}
-
-#[test]
-fn jacobi_is_bit_identical_with_and_without_interning() {
-    sweep(SolveEngine::Jacobi);
-}
-
-#[test]
-fn worklist_is_bit_identical_with_and_without_interning() {
-    sweep(SolveEngine::Worklist);
-}
-
-/// Interning must actually pay on the largest zoo model: most zone offers
-/// re-derive an already-interned zone (hit rate above 50%), and the deep-copy
-/// pressure drops at least 2× against the counted pre-interning behavior.
 #[test]
 fn interning_pays_off_on_lep4() {
     let zoo = model_zoo();
@@ -138,15 +20,14 @@ fn interning_pays_off_on_lep4() {
             .find(|i| i.model == "lep4" && i.purpose_name == purpose)
             .expect("zoo has lep4");
         for engine in ENGINES {
-            let options = |interning| SolveOptions {
+            let options = SolveOptions {
                 engine,
-                interning,
                 ..SolveOptions::default()
             };
             let context = format!("lep4/{purpose} [{}]", engine.name());
-            let on = solve(&instance.system, &instance.purpose, &options(true)).expect("solves");
-            let off = solve(&instance.system, &instance.purpose, &options(false)).expect("solves");
-            let stats = on.stats();
+            let solution = solve(&instance.system, &instance.purpose, &options).expect("solves");
+            let stats = solution.stats();
+            // Every offer is either a hit or a miss that interned a new zone.
             let lookups = stats.intern_hits + stats.interned_zones;
             assert!(
                 stats.intern_hits * 2 > lookups,
@@ -154,9 +35,8 @@ fn interning_pays_off_on_lep4() {
                 stats.intern_hits
             );
             assert!(
-                off.stats().dbm_clones >= 2 * stats.dbm_clones,
-                "{context}: clones only dropped from {} to {}",
-                off.stats().dbm_clones,
+                lookups >= 2 * stats.dbm_clones,
+                "{context}: {} deep copies for {lookups} zone offers",
                 stats.dbm_clones
             );
             assert!(
