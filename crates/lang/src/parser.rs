@@ -65,11 +65,17 @@ pub const KEYWORDS: &[&str] = &[
 
 /// Deepest expression nesting the parser accepts.  Every level of
 /// parentheses, brackets or conditional branches, every prefix operator and
-/// every binary operator counts one level, so the limit bounds both the
-/// parser's own recursion and the depth of the tree it builds — and with it
-/// every later recursive pass (lowering, printing, dropping).  Deeper input
-/// is a spanned error, not a stack overflow.
+/// every comparison's right-hand side counts one level: these are the
+/// constructs the parser recurses on, so the limit bounds its stack.  Deeper
+/// input is a spanned error, not a stack overflow.
 const MAX_NESTING: usize = 64;
+
+/// Most binary operators one expression may chain (`&&`, `||`, `+`, `-`,
+/// `*`, `/`, `%`).  A flat chain `a && b && …` is parsed in a loop, but it
+/// builds a left-leaning tree one level deeper per operator, and the later
+/// recursive passes (lowering, printing, evaluation, dropping) walk that
+/// tree.  With [`MAX_NESTING`] this bounds the tree's depth.
+const MAX_OPERATORS: usize = 256;
 
 /// Returns `true` if `name` can be written bare (unquoted) in `.tg` source.
 #[must_use]
@@ -114,6 +120,7 @@ pub fn parse_file(source: &str) -> Result<FileAst, LangError> {
         pos: 0,
         end: source.len(),
         depth: 0,
+        operators: 0,
     };
     parser.file()
 }
@@ -125,6 +132,9 @@ struct Parser {
     end: usize,
     /// Current expression nesting, bounded by [`MAX_NESTING`].
     depth: usize,
+    /// Binary operators in the current top-level expression, bounded by
+    /// [`MAX_OPERATORS`].
+    operators: usize,
 }
 
 impl Parser {
@@ -161,10 +171,24 @@ impl Parser {
         }
     }
 
-    /// Enters one more level of expression nesting.  The caller restores
-    /// `depth` once the nested part is parsed (an error abandons the whole
-    /// parse, so error paths need not).
-    fn descend(&mut self) -> Result<(), LangError> {
+    /// Counts one more binary operator of the current expression.
+    fn link(&mut self) -> Result<(), LangError> {
+        if self.operators >= MAX_OPERATORS {
+            return Err(LangError::parse(
+                format!("expression chains more than {MAX_OPERATORS} binary operators"),
+                self.here(),
+            ));
+        }
+        self.operators += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.  An error abandons the whole
+    /// parse, so only the success path restores `depth`.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<ExprAst, LangError>,
+    ) -> Result<ExprAst, LangError> {
         if self.depth >= MAX_NESTING {
             return Err(LangError::parse(
                 format!("expression nested deeper than {MAX_NESTING} levels"),
@@ -172,15 +196,6 @@ impl Parser {
             ));
         }
         self.depth += 1;
-        Ok(())
-    }
-
-    /// Runs `parse` one nesting level deeper.
-    fn nested(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<ExprAst, LangError>,
-    ) -> Result<ExprAst, LangError> {
-        self.descend()?;
         let expr = parse(self)?;
         self.depth -= 1;
         Ok(expr)
@@ -597,6 +612,9 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn expr(&mut self) -> Result<ExprAst, LangError> {
+        if self.depth == 0 {
+            self.operators = 0;
+        }
         self.nested(Self::ite_expr)
     }
 
@@ -619,11 +637,10 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<ExprAst, LangError> {
-        let outer = self.depth;
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), Some(t) if t.kind == TokenKind::OrOr) {
             self.bump();
-            self.descend()?;
+            self.link()?;
             let rhs = self.and_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -631,16 +648,14 @@ impl Parser {
                 span,
             };
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<ExprAst, LangError> {
-        let outer = self.depth;
         let mut lhs = self.cmp_expr()?;
         while matches!(self.peek(), Some(t) if t.kind == TokenKind::AndAnd) {
             self.bump();
-            self.descend()?;
+            self.link()?;
             let rhs = self.cmp_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -648,7 +663,6 @@ impl Parser {
                 span,
             };
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
@@ -678,7 +692,6 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<ExprAst, LangError> {
-        let outer = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -687,7 +700,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            self.descend()?;
+            self.link()?;
             let rhs = self.mul_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -695,12 +708,10 @@ impl Parser {
                 span,
             };
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<ExprAst, LangError> {
-        let outer = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek().map(|t| &t.kind) {
@@ -710,7 +721,7 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            self.descend()?;
+            self.link()?;
             let rhs = self.unary_expr()?;
             let span = lhs.span.to(rhs.span);
             lhs = ExprAst {
@@ -718,7 +729,6 @@ impl Parser {
                 span,
             };
         }
-        self.depth = outer;
         Ok(lhs)
     }
 

@@ -86,7 +86,7 @@ fn specific_diagnostics_name_the_problem() {
         ("missing_arrow.tg", "`->`"),
         ("deep_parens.tg", "nested deeper than"),
         ("deep_negation.tg", "nested deeper than"),
-        ("long_sum.tg", "nested deeper than"),
+        ("long_sum.tg", "chains more than 256 binary operators"),
         ("deep_control_negation.tg", "levels of nesting"),
         ("deep_control_parens.tg", "levels of nesting"),
     ];

@@ -49,18 +49,26 @@ enum RawRange {
 }
 
 /// Deepest formula nesting the parser accepts.  Every level of parentheses
-/// or brackets, every `not`, quantifier and unary minus, and every binary
-/// operator counts one level, so the limit bounds both the parser's own
-/// recursion and the depth of the tree it builds — and with it resolution
-/// and every later pass over the predicate.  Deeper input is a positioned
-/// error, not a stack overflow.
+/// or brackets, every `not`, quantifier, unary minus, `imply` and
+/// comparison right-hand side counts one level: these are the constructs
+/// the parser recurses on, so the limit bounds its stack.  Deeper input is
+/// a positioned error, not a stack overflow.
 const MAX_NESTING: usize = 64;
+
+/// Most binary operators one formula may chain (`and`, `or`, `+`, `-`, `*`,
+/// `/`, `%`).  A flat chain `p and q and …` is parsed in a loop, but it
+/// builds a left-leaning tree one level deeper per operator, and resolution
+/// and every later pass over the predicate walk that tree.  With
+/// [`MAX_NESTING`] this bounds the tree's depth.
+const MAX_OPERATORS: usize = 256;
 
 struct Parser<'t> {
     tokens: &'t [Token],
     pos: usize,
     /// Current nesting, bounded by [`MAX_NESTING`].
     depth: usize,
+    /// Binary operators parsed so far, bounded by [`MAX_OPERATORS`].
+    operators: usize,
 }
 
 impl<'t> Parser<'t> {
@@ -69,13 +77,29 @@ impl<'t> Parser<'t> {
             tokens,
             pos: 0,
             depth: 0,
+            operators: 0,
         }
     }
 
-    /// Enters one more level of nesting.  The caller restores `depth` once
-    /// the nested part is parsed (an error abandons the whole parse, so
-    /// error paths need not).
-    fn descend(&mut self) -> Result<(), TctlError> {
+    /// Counts one more binary operator of the formula.
+    fn link(&mut self) -> Result<(), TctlError> {
+        if self.operators >= MAX_OPERATORS {
+            return Err(TctlError::Parse {
+                position: self.position(),
+                expected: format!("at most {MAX_OPERATORS} binary operators"),
+                found: "a longer chain".to_string(),
+            });
+        }
+        self.operators += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.  An error abandons the whole
+    /// parse, so only the success path restores `depth`.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Raw, TctlError>,
+    ) -> Result<Raw, TctlError> {
         if self.depth >= MAX_NESTING {
             return Err(TctlError::Parse {
                 position: self.position(),
@@ -84,15 +108,6 @@ impl<'t> Parser<'t> {
             });
         }
         self.depth += 1;
-        Ok(())
-    }
-
-    /// Runs `parse` one nesting level deeper.
-    fn nested(
-        &mut self,
-        parse: impl FnOnce(&mut Self) -> Result<Raw, TctlError>,
-    ) -> Result<Raw, TctlError> {
-        self.descend()?;
         let raw = parse(self)?;
         self.depth -= 1;
         Ok(raw)
@@ -194,28 +209,24 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_or(&mut self) -> Result<Raw, TctlError> {
-        let outer = self.depth;
         let mut lhs = self.parse_and()?;
         while self.peek() == Some(&TokenKind::Or) {
             self.pos += 1;
-            self.descend()?;
+            self.link()?;
             let rhs = self.parse_and()?;
             lhs = Raw::Bin(RawOp::Or, Box::new(lhs), Box::new(rhs));
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_and(&mut self) -> Result<Raw, TctlError> {
-        let outer = self.depth;
         let mut lhs = self.parse_quantified()?;
         while self.peek() == Some(&TokenKind::And) {
             self.pos += 1;
-            self.descend()?;
+            self.link()?;
             let rhs = self.parse_quantified()?;
             lhs = Raw::Bin(RawOp::And, Box::new(lhs), Box::new(rhs));
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
@@ -288,7 +299,6 @@ impl<'t> Parser<'t> {
     }
 
     fn parse_add(&mut self) -> Result<Raw, TctlError> {
-        let outer = self.depth;
         let mut lhs = self.parse_mul()?;
         loop {
             let op = match self.peek() {
@@ -297,16 +307,14 @@ impl<'t> Parser<'t> {
                 _ => break,
             };
             self.pos += 1;
-            self.descend()?;
+            self.link()?;
             let rhs = self.parse_mul()?;
             lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_mul(&mut self) -> Result<Raw, TctlError> {
-        let outer = self.depth;
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -316,11 +324,10 @@ impl<'t> Parser<'t> {
                 _ => break,
             };
             self.pos += 1;
-            self.descend()?;
+            self.link()?;
             let rhs = self.parse_unary()?;
             lhs = Raw::Bin(op, Box::new(lhs), Box::new(rhs));
         }
-        self.depth = outer;
         Ok(lhs)
     }
 
@@ -1012,19 +1019,27 @@ mod tests {
                 "parens",
                 format!("{}IUT.Bright{}", "(".repeat(deep), ")".repeat(deep)),
             ),
-            ("chain", vec!["IUT.Bright"; deep].join(" and ")),
             ("minus", format!("{}1 == 1", "-".repeat(deep))),
+            ("chain", vec!["IUT.Bright"; deep].join(" and ")),
         ] {
             let text = format!("control: A<> {formula}");
             let err = TestPurpose::parse(&text, &sys).unwrap_err();
+            let limit = if what == "chain" {
+                "at most 256 binary operators"
+            } else {
+                "levels of nesting"
+            };
             assert!(
                 matches!(&err, TctlError::Parse { position, expected, .. }
-                    if expected.contains("levels of nesting") && (1..text.len()).contains(position)),
+                    if expected.contains(limit) && (1..text.len()).contains(position)),
                 "{what}: {err:?}"
             );
         }
-        // Realistic nesting stays well inside the limit.
+        // Realistic nesting stays well inside the limits, and a flat chain
+        // is bounded by its operator count, not by the nesting limit.
         let ok = format!("{}IUT.Bright{}", "(not ".repeat(30), ")".repeat(30));
         assert!(parse_predicate(&ok, &sys).is_ok());
+        let chain = vec!["IUT.Bright"; 257].join(" or ");
+        assert!(parse_predicate(&chain, &sys).is_ok());
     }
 }
